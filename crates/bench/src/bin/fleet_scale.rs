@@ -22,11 +22,18 @@
 //! print the same digest (`--expect-digest` turns a mismatch into a non-zero
 //! exit for the golden-digest check).
 //!
+//! `--scenario shard_fleet` runs the unsharded flagship instead
+//! (`ShardedSpec::shard_fleet(1).base`: 200 workers × 4 GPUs, 2 000 models,
+//! 15 k r/s — byte-identical to the 1-shard fleet). CI's second perf gate
+//! replays a capped prefix of it against
+//! `crates/bench/baseline/BENCH_shard_fleet.json`: at that size a per-event
+//! cost that grows with the fleet dominates, while at 20 workers it hides.
+//!
 //! Usage:
 //! ```text
 //! cargo run --release -p bench --bin fleet_scale -- \
-//!     [--events N] [--out PATH] [--baseline PATH] [--seed N] \
-//!     [--expect-digest HEX] [--tick-profile]
+//!     [--scenario fleet_scale|shard_fleet] [--events N] [--out PATH] \
+//!     [--baseline PATH] [--seed N] [--expect-digest HEX] [--tick-profile]
 //! ```
 //!
 //! `--tick-profile` additionally prints the per-full-tick work breakdown
@@ -34,11 +41,13 @@
 //! from the scheduler's self-profiling counters.
 
 use clockwork::prelude::*;
+use clockwork_shard::ShardedSpec;
 
 /// Maximum tolerated drop of events/sec below the baseline (CI gate).
 const REGRESSION_TOLERANCE: f64 = 0.30;
 
 struct Args {
+    scenario: String,
     max_events: u64,
     out: String,
     baseline: Option<String>,
@@ -49,6 +58,7 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut args = Args {
+        scenario: "fleet_scale".to_string(),
         max_events: u64::MAX,
         out: "BENCH_fleet.json".to_string(),
         baseline: None,
@@ -63,6 +73,7 @@ fn parse_args() -> Args {
                 .unwrap_or_else(|| panic!("missing value for {name}"))
         };
         match flag.as_str() {
+            "--scenario" => args.scenario = value("--scenario"),
             "--events" => args.max_events = value("--events").parse().expect("--events: integer"),
             "--out" => args.out = value("--out"),
             "--baseline" => args.baseline = Some(value("--baseline")),
@@ -82,10 +93,16 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    let spec = ScenarioSpec::fleet_scale().with_seed(args.seed);
+    let spec = match args.scenario.as_str() {
+        "fleet_scale" => ScenarioSpec::fleet_scale(),
+        "shard_fleet" => ShardedSpec::shard_fleet(1).base,
+        other => panic!("--scenario: expected fleet_scale or shard_fleet, got {other}"),
+    }
+    .with_seed(args.seed);
     let smoke = args.max_events != u64::MAX;
     println!(
-        "# fleet-scale scenario: {} workers x {} GPUs, {} models over {}s{}",
+        "# {} scenario: {} workers x {} GPUs, {} models over {}s{}",
+        spec.name,
         spec.workers,
         spec.gpus_per_worker,
         spec.models,

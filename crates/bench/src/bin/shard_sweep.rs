@@ -13,9 +13,10 @@
 //! - **Parallelism**: each shard simulates on its own `std::thread`, so
 //!   with cores to spare the fleet's wall clock is the slowest shard, not
 //!   the sum (`max_shard_wall` vs `sum_shard_wall` in the output).
-//! - **Smaller controllers**: per-event work scales with controller state
-//!   (event-queue depth, scheduler indexes), so even single-core hosts see
-//!   `sum_shard_wall` shrink as shards get smaller.
+//! - **Smaller controllers**: whatever per-event work still grows with
+//!   controller state shrinks with the shard (~1.6× less CPU at 4-8 shards;
+//!   `crates/bench/README.md` breaks it down). `sum_shard_wall` sums thread
+//!   wall time, which overstates CPU once shards outnumber cores.
 //!
 //! Every row is gated, not just reported: per-shard event conservation,
 //! no over-delivery, the global exactly-once identity on drained runs, and

@@ -321,12 +321,19 @@ pub fn event_mix_json(mix: &EventMix, live: u64) -> String {
 /// nest one level deep (per-discipline rows) or at the top level.
 pub fn sched_json(sched: &SchedProfile) -> String {
     format!(
-        "{{ \"ticks_full\": {}, \"ticks_skipped\": {}, \"candidates_scanned\": {}, \"strategies_recomputed\": {}, \"load_prio_recomputes\": {} }}",
+        "{{ \"ticks_full\": {}, \"ticks_skipped\": {}, \"candidates_scanned\": {}, \"strategies_recomputed\": {}, \"load_prio_recomputes\": {}, \"passes_request\": {}, \"passes_result\": {}, \"passes_tick\": {}, \"passes_fault\": {}, \"infer_gpus_visited\": {}, \"load_gpus_visited\": {}, \"prio_rekeys\": {} }}",
         sched.ticks_full,
         sched.ticks_skipped,
         sched.candidates_scanned,
         sched.strategies_recomputed,
         sched.load_prio_recomputes,
+        sched.passes_request,
+        sched.passes_result,
+        sched.passes_tick,
+        sched.passes_fault,
+        sched.infer_gpus_visited,
+        sched.load_gpus_visited,
+        sched.prio_rekeys,
     )
 }
 
@@ -351,6 +358,18 @@ pub fn report_sched_profile(label: &str, sched: &SchedProfile) {
         sched.candidates_scanned,
         sched.strategies_recomputed,
         sched.load_prio_recomputes,
+    );
+    println!(
+        "{:<12} passes={:<9} request={:<9} result={:<9} tick={:<9} fault={:<7} infer_gpus={:<11} load_gpus={:<9} prio_rekeys={}",
+        "",
+        sched.passes(),
+        sched.passes_request,
+        sched.passes_result,
+        sched.passes_tick,
+        sched.passes_fault,
+        sched.infer_gpus_visited,
+        sched.load_gpus_visited,
+        sched.prio_rekeys,
     );
 }
 

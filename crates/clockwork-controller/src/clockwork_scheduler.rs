@@ -66,8 +66,6 @@ pub struct ClockworkSchedulerConfig {
     pub profile_window: usize,
     /// Percentile used for duration predictions.
     pub profile_percentile: f64,
-    /// Record per-action prediction errors (needed for Fig. 9).
-    pub record_predictions: bool,
     /// Whether admission distinguishes service tiers. When set, best-effort
     /// requests must clear a stricter admission bar (see
     /// `best_effort_headroom_milli`) so they are shed before strict-tier
@@ -97,39 +95,9 @@ impl Default for ClockworkSchedulerConfig {
             load_priority_horizon: Nanos::from_millis(100),
             profile_window: 10,
             profile_percentile: 99.0,
-            record_predictions: false,
             tier_aware: true,
             best_effort_headroom_milli: 6000,
         }
-    }
-}
-
-/// One recorded prediction-vs-measurement pair (drives Fig. 9).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PredictionRecord {
-    /// Whether this was a LOAD (false: INFER).
-    pub is_load: bool,
-    /// The controller's predicted duration.
-    pub predicted: Nanos,
-    /// The measured on-device duration.
-    pub measured: Nanos,
-    /// The controller's predicted completion time.
-    pub predicted_completion: Timestamp,
-    /// The actual completion time.
-    pub actual_completion: Timestamp,
-}
-
-impl PredictionRecord {
-    /// Signed duration error in nanoseconds (positive = under-prediction,
-    /// i.e. the action ran longer than predicted).
-    pub fn duration_error_ns(&self) -> i64 {
-        self.measured.as_nanos() as i64 - self.predicted.as_nanos() as i64
-    }
-
-    /// Signed completion-time error in nanoseconds (positive = the action
-    /// completed later than predicted).
-    pub fn completion_error_ns(&self) -> i64 {
-        self.actual_completion.as_nanos() as i64 - self.predicted_completion.as_nanos() as i64
     }
 }
 
@@ -195,6 +163,18 @@ struct ModelEntry {
     /// The model's compiled batch sizes, ascending — cached off the spec so
     /// the admission path's amortized-cost cover never allocates.
     supported: Vec<u32>,
+    /// This model's key in `ClockworkScheduler::expiry` while it is queued.
+    expiry_key: Timestamp,
+    /// Appendix B demand (outstanding estimated execution time, plus recent
+    /// cold-start rejections) as of the last load-stage flush; zero when the
+    /// model has neither queued requests nor recent cold rejections.
+    demand: Nanos,
+    /// Whether `demand` awaits recomputation (the model sits in
+    /// `ClockworkScheduler::demand_dirty`).
+    demand_dirty: bool,
+    /// This model's key in `ClockworkScheduler::load_order`; `None` while its
+    /// LOAD priority is not positive.
+    priority: Option<f64>,
 }
 
 impl ModelEntry {
@@ -209,6 +189,10 @@ impl ModelEntry {
             cache_epoch: 0,
             cache_dirty: true,
             supported,
+            expiry_key: Timestamp::ZERO,
+            demand: Nanos::ZERO,
+            demand_dirty: false,
+            priority: None,
         }
     }
 
@@ -247,10 +231,57 @@ impl ModelEntry {
 #[derive(Clone, Debug)]
 struct InFlightBatch {
     requests: Vec<PendingRequest>,
-    expected_completion: Timestamp,
 }
 
+/// A model's place in the LOAD priority order: priority descending, then
+/// `ModelId` ascending — the order the per-pass sort produced.
+#[derive(Clone, Copy, Debug)]
+struct LoadKey {
+    priority: f64,
+    model: ModelId,
+}
+
+impl Ord for LoadKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .priority
+            .partial_cmp(&self.priority)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| self.model.cmp(&other.model))
+    }
+}
+
+impl PartialOrd for LoadKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for LoadKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
+
+impl Eq for LoadKey {}
+
 /// The Clockwork scheduler.
+///
+/// Every pass is *event-local*: it re-plans only what the triggering event
+/// (and the time elapsed since the previous pass) can have changed, and
+/// makes exactly the decisions a pass over the whole fleet would.
+///
+/// - INFER placement visits only GPUs in `infer_dirty`: holders of models
+///   whose queue or estimate changed, GPUs whose residency changed, the
+///   GPU a result came from, and GPUs whose executor crossed into the
+///   lookahead horizon. Every other GPU provably has no feasible candidate:
+///   it had none after the previous pass, and feasibility only shrinks as
+///   time passes.
+/// - LOAD placement keeps per-model demand and the priority order current
+///   by re-keying only models whose demand or holders changed, plus the
+///   models sharing a GPU with them, and skips the stage in O(1) when the
+///   top priority is not positive.
+#[derive(Clone)]
 pub struct ClockworkScheduler {
     config: ClockworkSchedulerConfig,
     models: HashMap<ModelId, ModelEntry>,
@@ -258,7 +289,7 @@ pub struct ClockworkScheduler {
     tracker: WorkerStateTracker,
     profiler: ActionProfiler,
     in_flight: HashMap<clockwork_worker::ActionId, InFlightBatch>,
-    in_flight_loads: HashMap<clockwork_worker::ActionId, Timestamp>,
+    in_flight_loads: HashSet<clockwork_worker::ActionId>,
     /// Recent requests rejected up-front *only because their model was cold*
     /// (they would have fit their SLO on a warm GPU). Appendix B drives LOAD
     /// priorities from estimated SLO violations, so these rejections must
@@ -266,7 +297,6 @@ pub struct ClockworkScheduler {
     /// its own cold-start time is never loaded and never becomes servable.
     cold_rejections: HashMap<ModelId, VecDeque<Timestamp>>,
     stats: SchedulerStats,
-    predictions: Vec<PredictionRecord>,
     /// GPUs (by dense tracker index) on which each model is resident or
     /// loading, kept sorted by index. Mirrors the tracker's residency sets so
     /// demand/allocation passes never scan every GPU per model.
@@ -296,10 +326,13 @@ pub struct ClockworkScheduler {
     profile: SchedProfile,
     /// Per-model urgency index over the queued models:
     /// `(min_deadline_hint, model)` kept in lock-step with the queues, so
-    /// the expiry pass visits only models whose earliest deadline is inside
-    /// the expiry window and the quiescence edge reads the global earliest
-    /// deadline in O(log n) — instead of rescanning every queued model.
+    /// the quiescence edge reads the global earliest deadline in O(log n)
+    /// instead of rescanning every queued model.
     urgency: BTreeSet<(Timestamp, ModelId)>,
+    /// The queued models keyed by the instant their earliest request can
+    /// start to expire, `min_deadline_hint - est1` (saturating), so the
+    /// expiry pass visits exactly the models whose own cutoff has passed.
+    expiry: BTreeSet<(Timestamp, ModelId)>,
     /// Running upper bound on every model's batch-1 execution estimate
     /// (never decreases), bounding how early any queued deadline can expire.
     max_est1: Nanos,
@@ -317,10 +350,40 @@ pub struct ClockworkScheduler {
     scratch_gpu_idx: Vec<usize>,
     scratch_expired: Vec<PendingRequest>,
     scratch_candidates: Vec<ModelId>,
-    scratch_demands: Vec<(ModelId, Nanos)>,
-    scratch_priorities: Vec<(ModelId, f64)>,
-    scratch_gpu_load: Vec<f64>,
     scratch_protect: HashSet<ModelId>,
+    /// Requests queued across every model (`queued_requests()`), kept in
+    /// step with every push, drain, expiry and requeue.
+    queued_total: u64,
+    /// GPUs currently alive.
+    alive_gpus: u64,
+    /// GPUs (dense tracker index) whose INFER executor may have a feasible
+    /// candidate. Every actionable GPU outside this set has none.
+    infer_dirty: BTreeSet<usize>,
+    /// The lookahead horizon of the latest pass: executor free times below
+    /// it have been absorbed into `infer_dirty`, later ones are swept in
+    /// when a pass's horizon crosses them.
+    swept_horizon: Timestamp,
+    /// Models whose demand inputs (queue length, execution estimates, cold
+    /// rejections) changed since the last demand flush.
+    demand_dirty: Vec<ModelId>,
+    /// Models whose demand or holder set changed since the last priority
+    /// flush.
+    prio_dirty_models: Vec<ModelId>,
+    /// GPUs whose resident-or-loading set changed since the last priority
+    /// flush.
+    prio_dirty_gpus: Vec<usize>,
+    /// Per GPU, the models with positive demand it holds, each with its
+    /// demand share (its demand split evenly over its holders).
+    gpu_shares: Vec<BTreeMap<ModelId, f64>>,
+    /// Per-GPU allocated demand (Appendix B): the sum of `gpu_shares`, in
+    /// ascending `ModelId` order.
+    gpu_load: Vec<f64>,
+    /// Models with positive LOAD priority — the only ones a LOAD can go to —
+    /// in priority order. Most models with demand are already well served
+    /// (priority ≤ 0) and stay out of the set.
+    load_order: BTreeSet<LoadKey>,
+    /// Test oracle switch: every pass re-plans the whole fleet.
+    all_scope: bool,
 }
 
 impl ClockworkScheduler {
@@ -333,10 +396,9 @@ impl ClockworkScheduler {
             queued_models: BTreeSet::new(),
             tracker: WorkerStateTracker::new(),
             in_flight: HashMap::new(),
-            in_flight_loads: HashMap::new(),
+            in_flight_loads: HashSet::new(),
             cold_rejections: HashMap::new(),
             stats: SchedulerStats::default(),
-            predictions: Vec::new(),
             holders: HashMap::new(),
             avail_by_gpu: Vec::new(),
             down_workers: BTreeSet::new(),
@@ -345,6 +407,7 @@ impl ClockworkScheduler {
             journal: ChangeJournal::new(),
             profile: SchedProfile::default(),
             urgency: BTreeSet::new(),
+            expiry: BTreeSet::new(),
             max_est1: Nanos::ZERO,
             tick_anchor: Cell::new(None),
             scratch_models: Vec::new(),
@@ -352,10 +415,30 @@ impl ClockworkScheduler {
             scratch_gpu_idx: Vec::new(),
             scratch_expired: Vec::new(),
             scratch_candidates: Vec::new(),
-            scratch_demands: Vec::new(),
-            scratch_priorities: Vec::new(),
-            scratch_gpu_load: Vec::new(),
             scratch_protect: HashSet::new(),
+            queued_total: 0,
+            alive_gpus: 0,
+            infer_dirty: BTreeSet::new(),
+            swept_horizon: Timestamp::ZERO,
+            demand_dirty: Vec::new(),
+            prio_dirty_models: Vec::new(),
+            prio_dirty_gpus: Vec::new(),
+            gpu_shares: Vec::new(),
+            gpu_load: Vec::new(),
+            load_order: BTreeSet::new(),
+            all_scope: false,
+        }
+    }
+
+    /// Creates a scheduler whose every pass re-plans the whole fleet: all
+    /// actionable GPUs visited, every model's demand and priority rebuilt.
+    /// The oracle the event-local passes are tested against; not a
+    /// production mode.
+    #[doc(hidden)]
+    pub fn new_all_scope(config: ClockworkSchedulerConfig) -> Self {
+        ClockworkScheduler {
+            all_scope: true,
+            ..Self::new(config)
         }
     }
 
@@ -371,10 +454,14 @@ impl ClockworkScheduler {
 
     /// Registers a GPU the scheduler may place work on.
     pub fn add_gpu(&mut self, gpu_ref: GpuRef, total_pages: u64, page_size: u64) {
+        self.infer_dirty.insert(self.tracker.len());
         self.tracker.add_gpu(gpu_ref, total_pages, page_size);
         self.avail_by_gpu.push(BTreeSet::new());
+        self.gpu_shares.push(BTreeMap::new());
+        self.gpu_load.push(0.0);
         self.exec_ready.push_gpu();
         self.load_ready.push_gpu();
+        self.alive_gpus += 1;
         // Fresh cold capacity is immediately actionable; the next tick must
         // run a full pass (no `schedule()` runs on this path).
         self.journal.note_change();
@@ -389,6 +476,8 @@ impl ClockworkScheduler {
             holders.insert(pos, (idx, gpu_ref));
         }
         self.avail_by_gpu[idx].insert(model);
+        self.prio_dirty_models.push(model);
+        self.prio_dirty_gpus.push(idx);
     }
 
     /// Records that `model` stopped being resident-or-loading on `gpu_ref`.
@@ -405,6 +494,33 @@ impl ClockworkScheduler {
             }
         }
         self.avail_by_gpu[idx].remove(&model);
+        self.gpu_shares[idx].remove(&model);
+        self.prio_dirty_models.push(model);
+        self.prio_dirty_gpus.push(idx);
+    }
+
+    /// Notes that `model`'s queue or execution estimates changed: its
+    /// demand is stale, and every GPU holding it may now have a feasible
+    /// INFER for it. Holders whose executor is committed past the latest
+    /// horizon are left to the crossing sweep in [`Self::schedule`].
+    fn note_model_changed(&mut self, model: ModelId) {
+        self.mark_demand_dirty(model);
+        if let Some(holders) = self.holders.get(&model) {
+            for &(idx, _) in holders {
+                if self.exec_ready.free_at(idx) < self.swept_horizon {
+                    self.infer_dirty.insert(idx);
+                }
+            }
+        }
+    }
+
+    fn mark_demand_dirty(&mut self, model: ModelId) {
+        if let Some(entry) = self.models.get_mut(&model) {
+            if !entry.demand_dirty {
+                entry.demand_dirty = true;
+                self.demand_dirty.push(model);
+            }
+        }
     }
 
     /// Registers a model, seeding its execution profiles from the compiled
@@ -431,15 +547,9 @@ impl ClockworkScheduler {
         &self.stats
     }
 
-    /// The recorded prediction errors (empty unless
-    /// [`ClockworkSchedulerConfig::record_predictions`] is set).
-    pub fn predictions(&self) -> &[PredictionRecord] {
-        &self.predictions
-    }
-
     /// Number of requests currently queued (not yet dispatched).
     pub fn queued_requests(&self) -> usize {
-        self.models.values().map(|m| m.queue.len()).sum()
+        self.queued_total as usize
     }
 
     /// Number of INFER batches currently in flight.
@@ -546,36 +656,50 @@ impl ClockworkScheduler {
         });
     }
 
-    /// Drops queued requests that can no longer meet their deadline.
-    fn expire_requests(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
-        // Forget cold-rejection demand that has aged out of the priority
-        // horizon, so long-idle models do not keep attracting LOADs.
-        if !self.cold_rejections.is_empty() {
-            let horizon = self.config.load_priority_horizon;
-            self.cold_rejections.retain(|_, history| {
+    /// Forgets cold-rejection demand that has aged out of the priority
+    /// horizon, so long-idle models do not keep attracting LOADs.
+    fn prune_cold_rejections(&mut self, now: Timestamp) {
+        if self.cold_rejections.is_empty() {
+            return;
+        }
+        let horizon = self.config.load_priority_horizon;
+        let mut aged = std::mem::take(&mut self.scratch_models);
+        aged.clear();
+        self.cold_rejections.retain(|&model, history| {
+            if history.front().is_some_and(|&t| t + horizon < now) {
+                aged.push(model);
                 while history.front().is_some_and(|&t| t + horizon < now) {
                     history.pop_front();
                 }
-                !history.is_empty()
-            });
+            }
+            !history.is_empty()
+        });
+        for &model in &aged {
+            self.mark_demand_dirty(model);
         }
+        self.scratch_models = aged;
+    }
+
+    /// Drops queued requests that can no longer meet their deadline.
+    fn expire_requests(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
+        self.prune_cold_rejections(now);
         if self.urgency.is_empty() {
             return;
         }
         let allowance = self.config.network_allowance;
-        // Only models whose earliest deadline falls inside the conservative
-        // expiry window (`max_est1` bounds every per-model estimate) can have
-        // lapsed requests; the urgency index yields exactly those without
-        // touching the rest of the queued set. Rejections must still be
-        // emitted in ascending `ModelId` order — the order the full scan over
-        // the queued set produced — so the candidate list is re-sorted.
-        let global_cutoff = now + self.max_est1 + allowance;
+        // Only models whose own cutoff (`now + est1 + allowance`) has passed
+        // their earliest deadline can have lapsed requests; the expiry index
+        // yields those (and, at the `<=` boundary, a few that the exact
+        // check below skips) without touching the rest of the queued set.
+        // Rejections must still be emitted in ascending `ModelId` order — the
+        // order the full scan over the queued set produced — so the
+        // candidate list is re-sorted.
         let mut model_ids = std::mem::take(&mut self.scratch_models);
         model_ids.clear();
         model_ids.extend(
-            self.urgency
+            self.expiry
                 .iter()
-                .take_while(|&&(hint, _)| hint < global_cutoff)
+                .take_while(|&&(key, _)| key <= now + allowance)
                 .map(|&(_, model)| model),
         );
         model_ids.sort_unstable();
@@ -611,6 +735,8 @@ impl ClockworkScheduler {
             };
             if !expired.is_empty() {
                 self.resync_urgency(model_id, was_queued, old_hint);
+                self.queued_total -= expired.len() as u64;
+                self.note_model_changed(model_id);
             }
             for p in expired.drain(..) {
                 self.reject(&p, now, RejectReason::DeadlineElapsed, ctx);
@@ -627,15 +753,29 @@ impl ClockworkScheduler {
         let entry = self.models.get(&model).expect("model exists");
         let now_queued = !entry.queue.is_empty();
         let new_hint = entry.min_deadline_hint;
+        if was_queued && now_queued && old_hint == new_hint {
+            return;
+        }
         if was_queued {
             self.urgency.remove(&(old_hint, model));
+            self.expiry.remove(&(entry.expiry_key, model));
         }
         if now_queued {
             self.urgency.insert((new_hint, model));
             self.queued_models.insert(model);
+            self.rekey_expiry(model);
         } else {
             self.queued_models.remove(&model);
         }
+    }
+
+    /// (Re)inserts a queued model into the expiry index under its current
+    /// earliest deadline and batch-1 estimate.
+    fn rekey_expiry(&mut self, model: ModelId) {
+        let key = self.models[&model].min_deadline_hint - self.exec_estimate(model, 1);
+        let entry = self.models.get_mut(&model).expect("model exists");
+        entry.expiry_key = key;
+        self.expiry.insert((key, model));
     }
 
     /// Estimated completion time of the LOAD currently in flight for a model
@@ -701,88 +841,120 @@ impl ClockworkScheduler {
         batching::largest_feasible(&entry.strategies, exec_start)
     }
 
-    /// Tops up INFER schedules on every actionable GPU.
+    /// Tops up INFER schedules on the actionable GPUs of `infer_dirty`, in
+    /// ascending registration order.
     ///
-    /// "Actionable" comes from the per-GPU next-free index: a GPU whose
-    /// executor is already committed past the lookahead horizon — or that is
-    /// dead — is never visited, so the pass scales with the GPUs that can
-    /// accept work, not with the fleet. The index yields registration order,
-    /// exactly the order the full scan used, so decisions are unchanged.
-    fn schedule_infers(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
+    /// A pass over every actionable GPU (`all`) visits the same GPUs in the
+    /// same order; the ones it adds find no feasible candidate and emit
+    /// nothing. A dispatch marks the other holders of its model: those
+    /// later in index order are visited in this call (as the full scan
+    /// would), earlier ones stay marked for the next call or pass.
+    fn schedule_infers(&mut self, now: Timestamp, all: bool, ctx: &mut SchedulerCtx) {
         if self.queued_models.is_empty() {
+            // No GPU has a candidate; a queue change re-marks holders.
+            self.infer_dirty.clear();
             return;
         }
         let horizon = now + self.config.lookahead;
-        let mut gpu_indices = std::mem::take(&mut self.scratch_gpu_idx);
-        self.exec_ready.actionable_into(horizon, &mut gpu_indices);
-        for &gpu_idx in &gpu_indices {
+        if all {
+            let mut gpu_indices = std::mem::take(&mut self.scratch_gpu_idx);
+            self.exec_ready.actionable_into(horizon, &mut gpu_indices);
+            self.infer_dirty.extend(gpu_indices.iter().copied());
+            self.scratch_gpu_idx = gpu_indices;
+        }
+        let mut cursor = 0;
+        while let Some(&gpu_idx) = self.infer_dirty.range(cursor..).next() {
             if self.queued_models.is_empty() {
+                self.infer_dirty.clear();
                 break;
             }
+            cursor = gpu_idx + 1;
+            if self.exec_ready.free_at(gpu_idx) >= horizon {
+                // Committed past the horizon (or dead): the crossing sweep
+                // re-marks it once time brings it back into reach.
+                self.infer_dirty.remove(&gpu_idx);
+                continue;
+            }
+            self.profile.infer_gpus_visited += 1;
             let gpu_ref = self.tracker.gpus()[gpu_idx].gpu_ref;
             while let Some(exec_slot) = self.tracker.get(gpu_ref).map(|t| t.next_exec_slot(now)) {
                 if exec_slot >= horizon {
                     break;
                 }
-                // Candidate models: queued requests + weights available here.
-                // Walk the smaller of the dirty set and this GPU's residency
-                // set; both iterate in ascending ModelId order, so the scan
-                // visits the same candidates in the same order as filtering
-                // the full dirty set would.
-                let mut candidates = std::mem::take(&mut self.scratch_candidates);
-                candidates.clear();
-                {
-                    let queued = &self.queued_models;
-                    let avail = &self.avail_by_gpu[gpu_idx];
-                    if avail.len() <= queued.len() {
-                        candidates.extend(avail.iter().copied().filter(|m| queued.contains(m)));
-                    } else {
-                        candidates.extend(queued.iter().copied().filter(|m| avail.contains(m)));
-                    }
-                }
-                let mut best: Option<(ModelId, u32, Timestamp, Timestamp)> = None;
-                self.profile.candidates_scanned += candidates.len() as u64;
-                for &model_id in &candidates {
-                    let track = self.tracker.get(gpu_ref).expect("gpu exists");
-                    let exec_start = if track.is_resident(model_id) {
-                        exec_slot
-                    } else if track.loading.contains(&model_id) {
-                        match self.pending_load_completion(gpu_ref, model_id) {
-                            Some(done) => exec_slot.max(done + self.config.load_margin),
-                            None => exec_slot.max(now + self.config.load_margin),
-                        }
-                    } else {
-                        continue;
-                    };
-                    let Some(entry) = self.models.get_mut(&model_id) else {
-                        continue;
-                    };
-                    if Self::ensure_strategies(&self.config, &self.profiler, model_id, entry) {
-                        self.profile.strategies_recomputed += 1;
-                    }
-                    if let Some((batch, required_start)) = Self::strategy_for(entry, exec_start) {
-                        let better = match &best {
-                            None => true,
-                            Some((_, _, best_required, _)) => required_start < *best_required,
-                        };
-                        if better {
-                            best = Some((model_id, batch, required_start, exec_start));
-                        }
-                    }
-                }
-                self.scratch_candidates = candidates;
-                let Some((model_id, batch, _required, exec_start)) = best else {
+                let Some((model_id, batch, exec_start)) = self.best_infer(now, gpu_idx, exec_slot)
+                else {
                     break;
                 };
-                self.dispatch_infer(now, gpu_ref, model_id, batch, exec_start, ctx);
+                self.dispatch_infer(gpu_ref, model_id, batch, exec_start, ctx);
+            }
+            // Nothing more fits here until an event or the clock changes it.
+            self.infer_dirty.remove(&gpu_idx);
+        }
+    }
+
+    /// The INFER to place next on a GPU whose executor frees at
+    /// `exec_slot`: among queued models whose weights are resident or
+    /// loading there, the feasible strategy with the earliest required
+    /// start (ties to the lowest `ModelId`). Returns `(model, batch,
+    /// exec_start)`.
+    fn best_infer(
+        &mut self,
+        now: Timestamp,
+        gpu_idx: usize,
+        exec_slot: Timestamp,
+    ) -> Option<(ModelId, u32, Timestamp)> {
+        let gpu_ref = self.tracker.gpus()[gpu_idx].gpu_ref;
+        // Candidate models: queued requests + weights available here. Walk
+        // the smaller of the queued set and this GPU's residency set; both
+        // iterate in ascending ModelId order, so the scan visits the same
+        // candidates in the same order either way.
+        let mut candidates = std::mem::take(&mut self.scratch_candidates);
+        candidates.clear();
+        {
+            let queued = &self.queued_models;
+            let avail = &self.avail_by_gpu[gpu_idx];
+            if avail.len() <= queued.len() {
+                candidates.extend(avail.iter().copied().filter(|m| queued.contains(m)));
+            } else {
+                candidates.extend(queued.iter().copied().filter(|m| avail.contains(m)));
             }
         }
-        self.scratch_gpu_idx = gpu_indices;
+        let mut best: Option<(ModelId, u32, Timestamp, Timestamp)> = None;
+        self.profile.candidates_scanned += candidates.len() as u64;
+        for &model_id in &candidates {
+            let track = &self.tracker.gpus()[gpu_idx];
+            let exec_start = if track.is_resident(model_id) {
+                exec_slot
+            } else if track.loading.contains(&model_id) {
+                match self.pending_load_completion(gpu_ref, model_id) {
+                    Some(done) => exec_slot.max(done + self.config.load_margin),
+                    None => exec_slot.max(now + self.config.load_margin),
+                }
+            } else {
+                continue;
+            };
+            let Some(entry) = self.models.get_mut(&model_id) else {
+                continue;
+            };
+            if Self::ensure_strategies(&self.config, &self.profiler, model_id, entry) {
+                self.profile.strategies_recomputed += 1;
+            }
+            if let Some((batch, required_start)) = Self::strategy_for(entry, exec_start) {
+                let better = match &best {
+                    None => true,
+                    Some((_, _, best_required, _)) => required_start < *best_required,
+                };
+                if better {
+                    best = Some((model_id, batch, required_start, exec_start));
+                }
+            }
+        }
+        self.scratch_candidates = candidates;
+        best.map(|(model_id, batch, _, exec_start)| (model_id, batch, exec_start))
     }
 
     fn dispatch_infer(
         &mut self,
-        now: Timestamp,
         gpu_ref: GpuRef,
         model_id: ModelId,
         batch: u32,
@@ -801,6 +973,8 @@ impl ClockworkScheduler {
             entry.deadline_removed(p.deadline);
         }
         self.resync_urgency(model_id, was_queued, old_hint);
+        self.queued_total -= serve as u64;
+        self.note_model_changed(model_id);
         let min_deadline = requests
             .iter()
             .map(|p| p.deadline)
@@ -843,174 +1017,228 @@ impl ClockworkScheduler {
         if let Some(idx) = self.tracker.gpu_index(gpu_ref) {
             self.exec_ready.update(idx, exec_free_at);
         }
-        self.in_flight.insert(
-            action_id,
-            InFlightBatch {
-                requests,
-                expected_completion,
-            },
-        );
+        self.in_flight.insert(action_id, InFlightBatch { requests });
         self.stats.infer_actions += 1;
-        let _ = now;
     }
 
-    /// Demand (outstanding estimated execution time) per queued model,
-    /// written into `demands` in ascending `ModelId` order so every
-    /// downstream float accumulation is run-to-run deterministic.
-    fn model_demands_into(&mut self, now: Timestamp, demands: &mut Vec<(ModelId, Nanos)>) {
-        demands.clear();
-        let mut models = std::mem::take(&mut self.scratch_models);
-        models.clear();
-        models.extend(self.queued_models.iter().copied());
-        for &model_id in &models {
-            let Some(entry) = self.models.get(&model_id) else {
-                continue;
-            };
-            let count = entry.queue.len() as u32;
-            if count == 0 {
-                continue;
-            }
+    /// Appendix B demand of one model: the outstanding estimated execution
+    /// time of its queue (at the per-request cost of the batch size that
+    /// covers it), plus one batch-1 execution per cold-start rejection still
+    /// inside the priority horizon. Recent cold-start rejections are
+    /// unfulfilled demand too (Appendix B's "estimated SLO violations"):
+    /// without them a model whose SLO is tighter than its cold-start time
+    /// would never be prioritised for a LOAD even though clients keep asking
+    /// for it.
+    fn demand_of(&self, model_id: ModelId, now: Timestamp) -> Nanos {
+        let mut demand = Nanos::ZERO;
+        let Some(entry) = self.models.get(&model_id) else {
+            return demand;
+        };
+        let count = entry.queue.len() as u32;
+        if count > 0 {
             let batch = entry
                 .spec
                 .batch_for_count(count)
                 .map(|p| p.batch)
                 .unwrap_or(entry.spec.max_batch().max(1));
             let per_request = self.exec_estimate(model_id, batch) / u64::from(batch.max(1));
-            demands.push((model_id, per_request * u64::from(count)));
+            demand = per_request * u64::from(count);
         }
-        // Recent cold-start rejections are unfulfilled demand too (Appendix
-        // B's "estimated SLO violations"): without them a model whose SLO is
-        // tighter than its cold-start time would never be prioritised for a
-        // LOAD even though clients keep asking for it.
-        if !self.cold_rejections.is_empty() {
-            models.clear();
-            models.extend(self.cold_rejections.keys().copied());
-            models.sort_unstable();
-            for &model_id in &models {
-                let recent = self.cold_rejections[&model_id]
-                    .iter()
-                    .filter(|&&t| t + self.config.load_priority_horizon >= now)
-                    .count() as u64;
-                if recent == 0 {
-                    continue;
-                }
-                let add = self.exec_estimate(model_id, 1) * recent;
-                match demands.binary_search_by_key(&model_id, |&(m, _)| m) {
-                    Ok(i) => demands[i].1 += add,
-                    Err(i) => demands.insert(i, (model_id, add)),
-                }
+        if let Some(history) = self.cold_rejections.get(&model_id) {
+            // Pushed at non-decreasing times, so the aged-out entries are a
+            // prefix.
+            let horizon = self.config.load_priority_horizon;
+            let recent = (history.len() - history.partition_point(|&t| t + horizon < now)) as u64;
+            if recent > 0 {
+                demand += self.exec_estimate(model_id, 1) * recent;
             }
         }
-        self.scratch_models = models;
+        demand
     }
 
-    /// Load priority of each queued model with respect to one GPU
-    /// (Appendix B): demand minus the GPU capacity already allocated to it
-    /// elsewhere. Holder lookups come from the persistent residency index,
-    /// and per-GPU loads accumulate into a dense scratch vector, so the pass
-    /// is linear in (demand models + their holders) rather than models ×
-    /// GPUs.
-    fn load_priorities_into(
-        &self,
-        demands: &[(ModelId, Nanos)],
-        gpu_load: &mut Vec<f64>,
-        out: &mut Vec<(ModelId, f64)>,
-    ) {
-        let capacity = self.config.load_priority_horizon.as_secs_f64();
-        gpu_load.clear();
-        gpu_load.resize(self.tracker.len(), 0.0);
-        out.clear();
-        for &(model_id, demand) in demands {
-            let Some(holders) = self.holders.get(&model_id) else {
+    /// Recomputes the demand of every model marked since the last flush and
+    /// queues the ones whose demand moved for re-keying. `all` recomputes
+    /// every model (the oracle scope).
+    fn flush_demands(&mut self, now: Timestamp, all: bool) {
+        if all {
+            let ids: Vec<ModelId> = self.models.keys().copied().collect();
+            for model in ids {
+                self.mark_demand_dirty(model);
+            }
+        }
+        let mut dirty = std::mem::take(&mut self.demand_dirty);
+        for &model in &dirty {
+            let demand = self.demand_of(model, now);
+            let entry = self.models.get_mut(&model).expect("marked models exist");
+            entry.demand_dirty = false;
+            if entry.demand != demand {
+                entry.demand = demand;
+                self.prio_dirty_models.push(model);
+            }
+        }
+        dirty.clear();
+        self.demand_dirty = dirty;
+    }
+
+    /// Brings `gpu_load` and the LOAD priority order up to date with the
+    /// current demands and residency (Appendix B): a model's priority is its
+    /// demand minus the GPU capacity already allocated to it where it is
+    /// resident.
+    ///
+    /// Only GPUs holding a changed model (or whose residency changed) get
+    /// their load recomputed, and only models on those GPUs get re-keyed;
+    /// every other priority's inputs are untouched. A GPU's load is summed
+    /// over its shares in ascending `ModelId` order and a model's
+    /// allocation over its holders in ascending index order, the exact
+    /// float operations of a from-scratch rebuild. On a GPU whose load did
+    /// not rise, every co-located model is served at least as well as
+    /// before (rounding is monotone), so models already out of the order
+    /// stay out and are skipped. `all` rebuilds every GPU and model (the
+    /// oracle scope).
+    fn flush_load_order(&mut self, all: bool) {
+        if all {
+            self.prio_dirty_gpus.extend(0..self.gpu_load.len());
+            self.prio_dirty_models.extend(self.models.keys().copied());
+        }
+        if self.prio_dirty_models.is_empty() && self.prio_dirty_gpus.is_empty() {
+            return;
+        }
+        self.profile.load_prio_recomputes += 1;
+        let mut models = std::mem::take(&mut self.prio_dirty_models);
+        let mut gpus = std::mem::take(&mut self.prio_dirty_gpus);
+        models.sort_unstable();
+        models.dedup();
+        // Refresh the changed models' shares on every GPU holding them.
+        for &model in &models {
+            let Some(holders) = self.holders.get(&model) else {
                 continue;
             };
+            let demand = self.models[&model].demand;
             let share = demand.as_secs_f64() / holders.len() as f64;
             for &(idx, _) in holders {
-                gpu_load[idx] += share;
+                if demand == Nanos::ZERO {
+                    self.gpu_shares[idx].remove(&model);
+                } else {
+                    self.gpu_shares[idx].insert(model, share);
+                }
+                gpus.push(idx);
             }
         }
-        for &(model_id, demand) in demands {
-            let mut served = 0.0;
-            if let Some(holders) = self.holders.get(&model_id) {
-                let share = demand.as_secs_f64() / holders.len() as f64;
-                for &(idx, _) in holders {
-                    let load = gpu_load[idx].max(1e-12);
-                    served += share * (capacity / load);
+        gpus.sort_unstable();
+        gpus.dedup();
+        for &idx in &gpus {
+            let load = self.gpu_shares[idx]
+                .values()
+                .fold(0.0, |sum, &share| sum + share);
+            let rose = load > self.gpu_load[idx];
+            self.gpu_load[idx] = load;
+            for model in self.gpu_shares[idx].keys() {
+                if rose || self.models[model].priority.is_some() {
+                    models.push(*model);
                 }
             }
-            out.push((model_id, demand.as_secs_f64() - served));
         }
-        // Ties on priority break by ModelId so the ordering (and therefore
-        // the LOAD placement) is identical across runs.
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        models.sort_unstable();
+        models.dedup();
+        let capacity = self.config.load_priority_horizon.as_secs_f64();
+        for &model in &models {
+            let Some(entry) = self.models.get_mut(&model) else {
+                continue;
+            };
+            let priority = (entry.demand != Nanos::ZERO)
+                .then(|| {
+                    let demand = entry.demand.as_secs_f64();
+                    let mut served = 0.0;
+                    if let Some(holders) = self.holders.get(&model) {
+                        let share = demand / holders.len() as f64;
+                        for &(idx, _) in holders {
+                            let load = self.gpu_load[idx].max(1e-12);
+                            served += share * (capacity / load);
+                        }
+                    }
+                    demand - served
+                })
+                .filter(|&p| p > 0.0);
+            self.profile.prio_rekeys += 1;
+            if priority.map(f64::to_bits) == entry.priority.map(f64::to_bits) {
+                continue;
+            }
+            if let Some(old) = entry.priority {
+                self.load_order.remove(&LoadKey {
+                    priority: old,
+                    model,
+                });
+            }
+            if let Some(new) = priority {
+                self.load_order.insert(LoadKey {
+                    priority: new,
+                    model,
+                });
+            }
+            entry.priority = priority;
+        }
+        models.clear();
+        gpus.clear();
+        self.prio_dirty_models = models;
+        self.prio_dirty_gpus = gpus;
     }
 
-    /// Tops up LOAD schedules on every actionable GPU (see
-    /// [`ClockworkScheduler::schedule_infers`] for the index discipline),
-    /// evicting LRU models when needed.
-    fn schedule_loads(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
+    /// Whether any model has positive LOAD priority — if not, no GPU
+    /// anywhere can receive a LOAD.
+    fn load_wanted(&self) -> bool {
+        !self.load_order.is_empty()
+    }
+
+    /// Tops up LOAD schedules on every actionable GPU, in registration
+    /// order, evicting LRU models when needed.
+    ///
+    /// Demands are fixed for the stage (flushed once at its start); each
+    /// dispatch changes residency, so the order is flushed again before the
+    /// next slot is filled.
+    fn schedule_loads(&mut self, now: Timestamp, all: bool, ctx: &mut SchedulerCtx) {
+        self.flush_demands(now, all);
         if self.queued_models.is_empty() && self.cold_rejections.is_empty() {
             return;
         }
+        self.flush_load_order(all);
+        if !self.load_wanted() {
+            return;
+        }
         let horizon = now + self.config.lookahead;
-        let mut demands = std::mem::take(&mut self.scratch_demands);
-        self.model_demands_into(now, &mut demands);
-        let mut gpu_load = std::mem::take(&mut self.scratch_gpu_load);
-        let mut priorities = std::mem::take(&mut self.scratch_priorities);
         let mut gpu_indices = std::mem::take(&mut self.scratch_gpu_idx);
         self.load_ready.actionable_into(horizon, &mut gpu_indices);
-        // Priorities depend only on `demands` (fixed for the pass) and on
-        // residency, so they are computed lazily once and reused across GPUs
-        // and slots — `dispatch_load` is the only thing that can change
-        // residency mid-pass (it evicts/loads even when it returns `false`),
-        // and it marks them stale. Recomputing from unchanged inputs yields
-        // the identical sorted list, so this is decision-preserving.
-        let mut priorities_fresh = false;
         'gpus: for &gpu_idx in &gpu_indices {
+            self.profile.load_gpus_visited += 1;
             let gpu_ref = self.tracker.gpus()[gpu_idx].gpu_ref;
             while let Some(load_slot) = self.tracker.get(gpu_ref).map(|t| t.next_load_slot(now)) {
                 if load_slot >= horizon {
                     break;
                 }
-                if !priorities_fresh {
-                    self.load_priorities_into(&demands, &mut gpu_load, &mut priorities);
-                    priorities_fresh = true;
-                    self.profile.load_prio_recomputes += 1;
-                    // Sorted descending: if even the top priority is not
-                    // positive, no GPU anywhere can receive a LOAD this pass.
-                    if priorities.first().is_none_or(|&(_, p)| p <= 0.0) {
-                        break 'gpus;
-                    }
+                self.flush_load_order(all);
+                if !self.load_wanted() {
+                    break 'gpus;
                 }
                 // Highest-priority model with positive unfulfilled demand that
                 // is not already available on this GPU.
                 let avail = &self.avail_by_gpu[gpu_idx];
-                let candidate = priorities
+                let candidate = self
+                    .load_order
                     .iter()
-                    .find(|(model_id, priority)| *priority > 0.0 && !avail.contains(model_id))
-                    .map(|&(model_id, _)| model_id);
+                    .find(|k| !avail.contains(&k.model))
+                    .map(|k| k.model);
                 let Some(model_id) = candidate else {
                     break;
                 };
-                priorities_fresh = false;
-                if !self.dispatch_load(now, gpu_ref, model_id, load_slot, ctx) {
+                if !self.dispatch_load(gpu_ref, model_id, load_slot, ctx) {
                     break;
                 }
             }
         }
-        self.scratch_demands = demands;
-        self.scratch_gpu_load = gpu_load;
-        self.scratch_priorities = priorities;
         self.scratch_gpu_idx = gpu_indices;
     }
 
     fn dispatch_load(
         &mut self,
-        now: Timestamp,
         gpu_ref: GpuRef,
         model_id: ModelId,
         load_slot: Timestamp,
@@ -1082,35 +1310,235 @@ impl ClockworkScheduler {
             est,
         );
         let load_free_at = track.load_free_at;
-        if let Some(idx) = self.tracker.gpu_index(gpu_ref) {
-            self.load_ready.update(idx, load_free_at);
-        }
+        let idx = self.tracker.gpu_index(gpu_ref).expect("gpu exists");
+        self.load_ready.update(idx, load_free_at);
         self.index_add_holder(model_id, gpu_ref);
-        self.in_flight_loads.insert(action_id, expected_completion);
+        // The new weights may make an INFER feasible here.
+        self.infer_dirty.insert(idx);
+        self.in_flight_loads.insert(action_id);
         self.stats.load_actions += 1;
         // The cold-start demand that motivated this LOAD is now being acted
         // upon; future cold rejections will re-register if the model is ever
-        // evicted again.
-        self.cold_rejections.remove(&model_id);
-        let _ = now;
+        // evicted again. The demand change takes effect at the next stage:
+        // demands stay fixed within one.
+        if self.cold_rejections.remove(&model_id).is_some() {
+            self.mark_demand_dirty(model_id);
+        }
         true
     }
 
-    fn schedule(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
+    /// One scheduling pass: expire, place INFERs, place LOADs, then place
+    /// the INFERs those LOADs (or later dispatches of the first stage)
+    /// enabled. `all` re-plans the whole fleet instead of only what changed.
+    fn schedule_scoped(&mut self, now: Timestamp, all: bool, ctx: &mut SchedulerCtx) {
         self.expire_requests(now, ctx);
-        self.schedule_infers(now, ctx);
-        self.schedule_loads(now, ctx);
-        // Loading decisions may enable further INFERs (cold models).
-        self.schedule_infers(now, ctx);
+        // Executors that time brought into the lookahead horizon since the
+        // previous pass can take work again.
+        let horizon = now + self.config.lookahead;
+        if horizon > self.swept_horizon {
+            self.infer_dirty
+                .extend(self.exec_ready.entering(self.swept_horizon, horizon));
+            self.swept_horizon = horizon;
+        }
+        self.schedule_infers(now, all, ctx);
+        self.schedule_loads(now, all, ctx);
+        self.schedule_infers(now, all, ctx);
         self.refresh_clean_until(now);
     }
 
-    /// Runs one full scheduling pass unconditionally, bypassing the
-    /// early-out journal. This is the rebuild-per-tick oracle surface the
-    /// differential tests drive; production paths go through the trait
-    /// callbacks.
+    fn schedule(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
+        self.schedule_scoped(now, self.all_scope, ctx);
+    }
+
+    /// Runs one scheduling pass over the whole fleet unconditionally,
+    /// bypassing the early-out journal and the event-local scoping. This is
+    /// the oracle surface the differential tests drive; production paths go
+    /// through the trait callbacks.
     pub fn run_full_pass(&mut self, now: Timestamp, ctx: &mut SchedulerCtx) {
-        self.schedule(now, ctx);
+        self.schedule_scoped(now, true, ctx);
+    }
+
+    /// Checks every incrementally maintained structure against a naive
+    /// rebuild at `now`: per-model demand and the LOAD priority order (its
+    /// positive prefix, bit-for-bit, in the order a from-scratch sort
+    /// produces), the expiry index and its postcondition (no request queued
+    /// past its cutoff as of the latest pass), the queued-request and
+    /// alive-GPU counters, and the INFER scope — no actionable GPU outside
+    /// the dirty set has a feasible candidate.
+    /// Decision-neutral (it only settles pending bookkeeping early); the
+    /// differential tests call it after every callback.
+    #[doc(hidden)]
+    pub fn check_incremental_state(&mut self, now: Timestamp) -> Result<(), String> {
+        let profile = self.profile;
+        let result = self.check_incremental_state_inner(now);
+        self.profile = profile;
+        result
+    }
+
+    fn check_incremental_state_inner(&mut self, now: Timestamp) -> Result<(), String> {
+        // Naive demand: every queued model plus every model with recent cold
+        // rejections, ascending by id.
+        let horizon = self.config.load_priority_horizon;
+        let mut naive: Vec<(ModelId, Nanos)> = Vec::new();
+        for &model_id in &self.queued_models {
+            let entry = &self.models[&model_id];
+            let count = entry.queue.len() as u32;
+            let batch = entry
+                .spec
+                .batch_for_count(count)
+                .map(|p| p.batch)
+                .unwrap_or(entry.spec.max_batch().max(1));
+            let per_request = self.exec_estimate(model_id, batch) / u64::from(batch.max(1));
+            naive.push((model_id, per_request * u64::from(count)));
+        }
+        let mut cold: Vec<ModelId> = self.cold_rejections.keys().copied().collect();
+        cold.sort_unstable();
+        for model_id in cold {
+            let recent = self.cold_rejections[&model_id]
+                .iter()
+                .filter(|&&t| t + horizon >= now)
+                .count() as u64;
+            if recent == 0 {
+                continue;
+            }
+            let add = self.exec_estimate(model_id, 1) * recent;
+            match naive.binary_search_by_key(&model_id, |&(m, _)| m) {
+                Ok(i) => naive[i].1 += add,
+                Err(i) => naive.insert(i, (model_id, add)),
+            }
+        }
+        // Naive priorities: per-GPU load accumulated model by model, then a
+        // full sort.
+        let capacity = horizon.as_secs_f64();
+        let mut gpu_load = vec![0.0; self.tracker.len()];
+        for &(model_id, demand) in &naive {
+            if let Some(holders) = self.holders.get(&model_id) {
+                let share = demand.as_secs_f64() / holders.len() as f64;
+                for &(idx, _) in holders {
+                    gpu_load[idx] += share;
+                }
+            }
+        }
+        let mut naive_order: Vec<(ModelId, f64)> = Vec::new();
+        for &(model_id, demand) in &naive {
+            let mut served = 0.0;
+            if let Some(holders) = self.holders.get(&model_id) {
+                let share = demand.as_secs_f64() / holders.len() as f64;
+                for &(idx, _) in holders {
+                    served += share * (capacity / gpu_load[idx].max(1e-12));
+                }
+            }
+            naive_order.push((model_id, demand.as_secs_f64() - served));
+        }
+        naive_order.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.0.cmp(&b.0))
+        });
+
+        // Settle the maintained side the way the next load stage would.
+        self.prune_cold_rejections(now);
+        self.flush_demands(now, false);
+        self.flush_load_order(false);
+        let mut maintained: Vec<(ModelId, Nanos)> = self
+            .models
+            .iter()
+            .filter(|(_, e)| e.demand != Nanos::ZERO)
+            .map(|(&m, e)| (m, e.demand))
+            .collect();
+        maintained.sort_unstable();
+        if maintained != naive {
+            return Err(format!(
+                "demand diverged: maintained {maintained:?}, rebuilt {naive:?}"
+            ));
+        }
+        let order: Vec<(ModelId, u64)> = self
+            .load_order
+            .iter()
+            .map(|k| (k.model, k.priority.to_bits()))
+            .collect();
+        let rebuilt: Vec<(ModelId, u64)> = naive_order
+            .iter()
+            .take_while(|&&(_, p)| p > 0.0)
+            .map(|&(m, p)| (m, p.to_bits()))
+            .collect();
+        if order != rebuilt {
+            return Err(format!(
+                "load priority order diverged: maintained {order:?}, rebuilt {rebuilt:?}"
+            ));
+        }
+
+        let mut expiry: Vec<(Timestamp, ModelId)> = self
+            .queued_models
+            .iter()
+            .map(|&m| {
+                (
+                    self.models[&m].min_deadline_hint - self.exec_estimate(m, 1),
+                    m,
+                )
+            })
+            .collect();
+        expiry.sort_unstable();
+        if !expiry.iter().eq(self.expiry.iter()) {
+            return Err(format!(
+                "expiry index diverged: maintained {:?}, rebuilt {expiry:?}",
+                self.expiry
+            ));
+        }
+
+        // Expiry is complete: as of the latest pass, no queued request is
+        // past its cutoff (nothing since then changes queues or estimates
+        // without running a pass).
+        let last_pass = self.swept_horizon - self.config.lookahead;
+        for &model in &self.queued_models {
+            let cutoff = last_pass + self.exec_estimate(model, 1) + self.config.network_allowance;
+            let entry = &self.models[&model];
+            if let Some(p) = entry
+                .queue
+                .iter()
+                .find(|p| p.deadline != Timestamp::MAX && cutoff > p.deadline)
+            {
+                return Err(format!(
+                    "request {:?} of model {model:?} outlived its expiry cutoff",
+                    p.request.id
+                ));
+            }
+        }
+
+        let queued: usize = self.models.values().map(|e| e.queue.len()).sum();
+        if queued != self.queued_requests() {
+            return Err(format!(
+                "queued counter {} != {queued} queued",
+                self.queued_total
+            ));
+        }
+        let alive = self.tracker.gpus().iter().filter(|g| g.alive).count() as u64;
+        if alive != self.alive_gpus {
+            return Err(format!(
+                "alive counter {} != {alive} alive",
+                self.alive_gpus
+            ));
+        }
+
+        // INFER scope: GPUs in reach at the latest horizon and outside the
+        // dirty set must have nothing to place.
+        for gpu_idx in 0..self.tracker.len() {
+            if self.queued_models.is_empty() {
+                break;
+            }
+            if self.exec_ready.free_at(gpu_idx) >= self.swept_horizon
+                || self.infer_dirty.contains(&gpu_idx)
+            {
+                continue;
+            }
+            let exec_slot = self.tracker.gpus()[gpu_idx].next_exec_slot(now);
+            if let Some(found) = self.best_infer(now, gpu_idx, exec_slot) {
+                return Err(format!(
+                    "GPU {gpu_idx} is outside the INFER scope but can place {found:?}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Whether any queued request, in-flight INFER or in-flight LOAD exists
@@ -1193,17 +1621,15 @@ impl ClockworkScheduler {
                     ProfileKey::exec(result.model, result.batch),
                     timing.device_duration,
                 );
+                self.note_model_changed(result.model);
                 // The batch-1 estimate may have moved; keep the expiry bound
-                // a running maximum over every model's current estimate.
+                // a running maximum over every model's current estimate, and
+                // the model's expiry key current.
                 self.max_est1 = self.max_est1.max(self.exec_estimate(result.model, 1));
-                if self.config.record_predictions {
-                    self.predictions.push(PredictionRecord {
-                        is_load: false,
-                        predicted: result.expected_duration,
-                        measured: timing.device_duration,
-                        predicted_completion: batch.expected_completion,
-                        actual_completion: timing.end,
-                    });
+                let entry = &self.models[&result.model];
+                if !entry.queue.is_empty() {
+                    self.expiry.remove(&(entry.expiry_key, result.model));
+                    self.rekey_expiry(result.model);
                 }
                 for pending in &batch.requests {
                     self.stats.completed += 1;
@@ -1254,6 +1680,8 @@ impl ClockworkScheduler {
                 entry.deadline_added(pending.deadline);
                 entry.queue.push_front(pending);
                 self.resync_urgency(model, was_queued, old_hint);
+                self.queued_total += 1;
+                self.note_model_changed(model);
             } else {
                 self.reject(&pending, at, reason, ctx);
             }
@@ -1268,6 +1696,9 @@ impl ClockworkScheduler {
         let Some(gpu_idx) = self.tracker.gpu_index(gpu_ref) else {
             return;
         };
+        if self.tracker.gpus()[gpu_idx].alive {
+            self.alive_gpus -= 1;
+        }
         // Resolve outstanding actions in action-id (issue) order so requeue
         // order — and therefore the digest — is deterministic.
         let mut lost: Vec<OutstandingAction> = self
@@ -1311,6 +1742,8 @@ impl ClockworkScheduler {
             track.note_recovered(now);
             self.exec_ready.update(gpu_idx, track.exec_free_at);
             self.load_ready.update(gpu_idx, track.load_free_at);
+            self.alive_gpus += 1;
+            self.infer_dirty.insert(gpu_idx);
         }
     }
 
@@ -1345,19 +1778,10 @@ impl ClockworkScheduler {
                 self.index_remove_holder(result.model, gpu_ref);
             }
         }
-        let expected_completion = self.in_flight_loads.remove(&result.action_id);
+        self.in_flight_loads.remove(&result.action_id);
         if let ActionOutcome::Success(timing) = &result.outcome {
             self.profiler
                 .record(ProfileKey::load(result.model), timing.device_duration);
-            if self.config.record_predictions {
-                self.predictions.push(PredictionRecord {
-                    is_load: true,
-                    predicted: result.expected_duration,
-                    measured: timing.device_duration,
-                    predicted_completion: expected_completion.unwrap_or(timing.end),
-                    actual_completion: timing.end,
-                });
-            }
         }
     }
 }
@@ -1446,6 +1870,8 @@ impl Scheduler for ClockworkScheduler {
                     if history.len() > 4096 {
                         history.pop_front();
                     }
+                    self.mark_demand_dirty(request.model);
+                    self.profile.passes_request += 1;
                     self.schedule(now, ctx);
                 }
                 return;
@@ -1464,14 +1890,8 @@ impl Scheduler for ClockworkScheduler {
                 // loss was a queue-deadline miss and not one request was
                 // shed). Fold the aggregate backlog's fair drain share into
                 // the best-effort bar; strict admission is untouched.
-                let queued: u64 = self.models.values().map(|e| e.queue.len() as u64).sum();
-                let alive = self
-                    .tracker
-                    .gpus()
-                    .iter()
-                    .filter(|g| g.alive)
-                    .count()
-                    .max(1) as u64;
+                let queued = self.queued_total;
+                let alive = self.alive_gpus.max(1);
                 let pressure = Nanos::from_nanos(exec.as_nanos().saturating_mul(queued) / alive);
                 let scaled = Nanos::from_nanos(
                     (best_case + pressure)
@@ -1517,6 +1937,9 @@ impl Scheduler for ClockworkScheduler {
         entry.deadline_added(pending.deadline);
         entry.queue.push_back(pending);
         self.resync_urgency(request.model, was_queued, old_hint);
+        self.queued_total += 1;
+        self.note_model_changed(request.model);
+        self.profile.passes_request += 1;
         self.schedule(now, ctx);
         if ctx.tracing() {
             // If the dispatch pass left this request queued, the urgency
@@ -1539,6 +1962,14 @@ impl Scheduler for ClockworkScheduler {
             "LOAD" => self.handle_load_result(result),
             _ => {}
         }
+        // The reporting GPU's residency or outstanding work changed.
+        if let Some(idx) = self.tracker.gpu_index(GpuRef {
+            worker: result.worker,
+            gpu: result.gpu,
+        }) {
+            self.infer_dirty.insert(idx);
+        }
+        self.profile.passes_result += 1;
         self.schedule(now, ctx);
     }
 
@@ -1550,6 +1981,7 @@ impl Scheduler for ClockworkScheduler {
             return TickOutcome::Skipped;
         }
         self.profile.ticks_full += 1;
+        self.profile.passes_tick += 1;
         self.schedule(now, ctx);
         TickOutcome::Full
     }
@@ -1612,6 +2044,7 @@ impl Scheduler for ClockworkScheduler {
             // work on the cold capacity.
             FaultKind::WorkerJoin { .. } => {}
         }
+        self.profile.passes_fault += 1;
         self.schedule(now, ctx);
     }
 
@@ -2118,35 +2551,6 @@ mod tests {
     }
 
     #[test]
-    fn prediction_records_are_collected_when_enabled() {
-        let config = ClockworkSchedulerConfig {
-            record_predictions: true,
-            ..Default::default()
-        };
-        let mut s = ClockworkScheduler::new(config);
-        s.add_gpu(gref(), 100, PAGE);
-        s.add_model(ModelId(1), resnet(), Nanos::from_millis_f64(8.33));
-        let mut ctx = SchedulerCtx::new();
-        s.on_request(Timestamp::ZERO, request(1, 1, 0, 100), &mut ctx);
-        for (id, a) in ctx.take_actions().iter().map(|(_, a)| (a.id, a.clone())) {
-            let dur = if a.kind.type_name() == "LOAD" {
-                8_400
-            } else {
-                2_650
-            };
-            s.on_result(
-                Timestamp::from_millis(15),
-                &success_result(id, &a, 10, dur),
-                &mut ctx,
-            );
-        }
-        assert!(s.predictions().len() >= 2);
-        for p in s.predictions() {
-            assert!(p.duration_error_ns().abs() < 1_000_000, "{p:?}");
-        }
-    }
-
-    #[test]
     fn worker_crash_resolves_in_flight_actions_and_clears_residency() {
         let mut s = scheduler_with_one_gpu(100);
         let mut ctx = SchedulerCtx::new();
@@ -2264,6 +2668,156 @@ mod tests {
             "warm model with a feasible SLO must be scheduled, got {actions:?}"
         );
         assert_eq!(s.stats().rejected_admission, 1);
+    }
+
+    /// A dispatch can make the model feasible again on a holder *earlier*
+    /// in index order: the whole-fleet pass places that INFER in its second
+    /// stage, so the event-local pass must carry the GPU into it too, not
+    /// only the GPUs that received a LOAD.
+    #[test]
+    fn a_dispatch_that_unblocks_an_earlier_gpu_is_placed_in_the_same_pass() {
+        let g0 = gref();
+        let g1 = GpuRef {
+            worker: WorkerId(1),
+            gpu: GpuId(0),
+        };
+        let m = ModelId(1);
+        let run = |mut s: ClockworkScheduler| {
+            s.add_gpu(g0, 100, PAGE);
+            s.add_gpu(g1, 100, PAGE);
+            s.add_model(m, resnet(), Nanos::from_millis_f64(8.33));
+            // GPU 0 holds the model, its executor busy until 4.5 ms; GPU 1
+            // is loading it (done at 8 ms), its executor busy until 3.5 ms.
+            let load = |id: u64| OutstandingAction {
+                id: ActionId(id),
+                model: m,
+                expected_completion: Timestamp::from_millis(8),
+                is_load: true,
+            };
+            let t0 = s.tracker.get_mut(g0).unwrap();
+            t0.note_load_sent(load(900), 7, Timestamp::ZERO, Nanos::from_millis(8));
+            t0.note_load_result(ActionId(900), m, true);
+            t0.exec_free_at = Timestamp::from_nanos(4_500_000);
+            s.exec_ready.update(0, Timestamp::from_nanos(4_500_000));
+            let t1 = s.tracker.get_mut(g1).unwrap();
+            t1.note_load_sent(load(901), 7, Timestamp::ZERO, Nanos::from_millis(8));
+            t1.exec_free_at = Timestamp::from_nanos(3_500_000);
+            s.exec_ready.update(1, Timestamp::from_nanos(3_500_000));
+            s.in_flight_loads.insert(ActionId(901));
+            s.index_add_holder(m, g0);
+            s.index_add_holder(m, g1);
+            // A tight request (deadline 7 ms) then a loose one queue behind
+            // each other: neither GPU can start the tight one in time.
+            let mut ctx = SchedulerCtx::new();
+            s.on_request(Timestamp::ZERO, request(1, 1, 0, 7), &mut ctx);
+            s.on_request(Timestamp::ZERO, request(2, 1, 0, 100), &mut ctx);
+            assert!(ctx.take_actions().is_empty());
+            // The LOAD lands early on GPU 1: the tight request fits there
+            // (filling it past the horizon), which unblocks the loose one
+            // on GPU 0 — earlier in index order than the dispatching GPU.
+            let result = ActionResult {
+                action_id: ActionId(901),
+                worker: g1.worker,
+                gpu: g1.gpu,
+                model: m,
+                action_type: "LOAD",
+                batch: 1,
+                request_ids: vec![],
+                expected_duration: Nanos::from_millis(8),
+                outcome: ActionOutcome::Success(ActionTiming {
+                    received: Timestamp::ZERO,
+                    start: Timestamp::ZERO,
+                    end: Timestamp::from_millis(1),
+                    device_duration: Nanos::from_millis(1),
+                }),
+            };
+            s.on_result(Timestamp::from_millis(1), &result, &mut ctx);
+            ctx.take_actions()
+                .into_iter()
+                .map(|(w, a)| format!("{w} {:?} {:?}", a.gpu, a.kind))
+                .collect::<Vec<_>>()
+        };
+        let local = run(ClockworkScheduler::with_defaults());
+        let oracle = run(ClockworkScheduler::new_all_scope(
+            ClockworkSchedulerConfig::default(),
+        ));
+        assert_eq!(local, oracle);
+        assert_eq!(local.len(), 2, "{local:?}");
+        assert!(local[0].starts_with("w1") && local[0].contains("[1]"));
+        assert!(local[1].starts_with("w0") && local[1].contains("[2]"));
+    }
+
+    /// An INFER result that lowers a model's execution estimate can make a
+    /// queued request feasible on *another* GPU holding the model, one that
+    /// neither reported the result nor crossed into the horizon.
+    #[test]
+    fn an_estimate_drop_reopens_other_holders() {
+        let g0 = gref();
+        let g1 = GpuRef {
+            worker: WorkerId(1),
+            gpu: GpuId(0),
+        };
+        let m = ModelId(1);
+        let run = |mut s: ClockworkScheduler| {
+            s.add_gpu(g0, 100, PAGE);
+            s.add_gpu(g1, 100, PAGE);
+            s.add_model(m, resnet(), Nanos::from_millis_f64(8.33));
+            for (i, gpu) in [g0, g1].into_iter().enumerate() {
+                let track = s.tracker.get_mut(gpu).unwrap();
+                let load = OutstandingAction {
+                    id: ActionId(900 + i as u64),
+                    model: m,
+                    expected_completion: Timestamp::ZERO,
+                    is_load: true,
+                };
+                track.note_load_sent(load, 7, Timestamp::ZERO, Nanos::ZERO);
+                track.note_load_result(load.id, m, true);
+                s.index_add_holder(m, gpu);
+            }
+            // GPU 0 is busy past any horizon below with an INFER of the
+            // model; GPU 1 frees at 11 ms.
+            s.tracker.get_mut(g0).unwrap().exec_free_at = Timestamp::from_millis(20);
+            s.exec_ready.update(0, Timestamp::from_millis(20));
+            s.in_flight
+                .insert(ActionId(700), InFlightBatch { requests: vec![] });
+            s.tracker.get_mut(g1).unwrap().exec_free_at = Timestamp::from_millis(11);
+            s.exec_ready.update(1, Timestamp::from_millis(11));
+            // Deadline 13 ms: at the 2.61 ms seed estimate the request must
+            // start by 9.89 ms, too early for GPU 1.
+            let mut ctx = SchedulerCtx::new();
+            s.on_request(Timestamp::from_millis(8), request(1, 1, 8, 5), &mut ctx);
+            assert!(ctx.take_actions().is_empty());
+            // GPU 0 reports the earlier INFER at 1 ms: the estimate drops and
+            // the request now fits GPU 1 (start by 11.5 ms).
+            let result = ActionResult {
+                action_id: ActionId(700),
+                worker: g0.worker,
+                gpu: g0.gpu,
+                model: m,
+                action_type: "INFER",
+                batch: 1,
+                request_ids: vec![],
+                expected_duration: Nanos::from_millis_f64(2.61),
+                outcome: ActionOutcome::Success(ActionTiming {
+                    received: Timestamp::from_millis(8),
+                    start: Timestamp::from_millis(8),
+                    end: Timestamp::from_millis(9),
+                    device_duration: Nanos::from_millis(1),
+                }),
+            };
+            s.on_result(Timestamp::from_millis(9), &result, &mut ctx);
+            ctx.take_actions()
+                .into_iter()
+                .map(|(w, a)| format!("{w} {:?} {:?}", a.gpu, a.kind))
+                .collect::<Vec<_>>()
+        };
+        let local = run(ClockworkScheduler::with_defaults());
+        let oracle = run(ClockworkScheduler::new_all_scope(
+            ClockworkSchedulerConfig::default(),
+        ));
+        assert_eq!(local, oracle);
+        assert_eq!(local.len(), 1, "{local:?}");
+        assert!(local[0].starts_with("w1") && local[0].contains("[1]"));
     }
 
     #[test]

@@ -90,15 +90,37 @@ pub struct SchedProfile {
     /// Per-model strategy-queue rebuilds (cache misses on queue or profile
     /// epoch).
     pub strategies_recomputed: u64,
-    /// LOAD-priority list recomputations (once per pass plus one per
-    /// residency-changing dispatch, instead of once per GPU slot).
+    /// LOAD-priority order flushes that had something to re-key: at most
+    /// one per pass plus one per LOAD dispatch attempt, and none when no
+    /// model's demand or residency changed since the previous flush.
     pub load_prio_recomputes: u64,
+    /// Scheduling passes run by `on_request` (admitted requests and
+    /// cold-start rejections).
+    pub passes_request: u64,
+    /// Scheduling passes run by `on_result`.
+    pub passes_result: u64,
+    /// Scheduling passes run by `on_tick` (equal to `ticks_full`).
+    pub passes_tick: u64,
+    /// Scheduling passes run by `on_fault`.
+    pub passes_fault: u64,
+    /// GPUs visited by the INFER stages (each visit fills the GPU's
+    /// lookahead window or proves nothing fits).
+    pub infer_gpus_visited: u64,
+    /// GPUs visited by the LOAD stage.
+    pub load_gpus_visited: u64,
+    /// Models whose LOAD priority was recomputed.
+    pub prio_rekeys: u64,
 }
 
 impl SchedProfile {
     /// Total ticks observed (full + skipped).
     pub fn ticks(&self) -> u64 {
         self.ticks_full + self.ticks_skipped
+    }
+
+    /// Scheduling passes run, over every trigger.
+    pub fn passes(&self) -> u64 {
+        self.passes_request + self.passes_result + self.passes_tick + self.passes_fault
     }
 }
 
@@ -128,8 +150,13 @@ mod tests {
         let p = SchedProfile {
             ticks_full: 3,
             ticks_skipped: 7,
+            passes_request: 5,
+            passes_result: 4,
+            passes_tick: 3,
+            passes_fault: 1,
             ..SchedProfile::default()
         };
         assert_eq!(p.ticks(), 10);
+        assert_eq!(p.passes(), 13);
     }
 }

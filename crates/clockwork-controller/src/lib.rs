@@ -24,7 +24,8 @@
 //! * [`clockwork_scheduler`] — the paper's scheduler: global strategy queue
 //!   with batch formation, 5 ms lookahead, demand-driven LOAD priorities,
 //!   LRU UNLOAD, and SLO admission control priced on the amortized cost
-//!   curve.
+//!   curve. Each request or result pass is event-local: it visits only the
+//!   GPUs and re-keys only the models the event changed.
 //! * [`alt`] — deliberately simpler schedulers used for ablation studies.
 
 #![warn(missing_docs)]

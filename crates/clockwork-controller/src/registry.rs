@@ -221,7 +221,7 @@ mod tests {
     fn re_registration_replaces_in_place() {
         let mut registry = SchedulerRegistry::builtin();
         let tuned = ClockworkSchedulerConfig {
-            record_predictions: true,
+            tier_aware: false,
             ..Default::default()
         };
         registry.register(Box::new(ClockworkFactory::new(tuned)));
@@ -236,6 +236,6 @@ mod tests {
             .as_any()
             .downcast_ref::<ClockworkScheduler>()
             .expect("clockwork factory builds ClockworkScheduler");
-        assert!(concrete.config().record_predictions);
+        assert!(!concrete.config().tier_aware);
     }
 }

@@ -454,6 +454,15 @@ impl FreeAtIndex {
         out.sort_unstable();
     }
 
+    /// The dense indices of the GPUs whose free time lies in `[from, to)`:
+    /// the GPUs a lookahead horizon advancing from `from` to `to` brings
+    /// into reach, in time order. Parked GPUs never enter.
+    pub fn entering(&self, from: Timestamp, to: Timestamp) -> impl Iterator<Item = usize> + '_ {
+        self.by_time
+            .range((from, 0u32)..(to, 0u32))
+            .map(|&(_, idx)| idx as usize)
+    }
+
     /// The earliest indexed free time at or after `horizon`, skipping the
     /// [`Timestamp::MAX`] parked sentinel: the next instant at which pure
     /// time passage makes a currently non-actionable GPU actionable.
@@ -654,6 +663,19 @@ mod tests {
         index.actionable_into(Timestamp::from_millis(10), &mut out);
         assert_eq!(out, vec![1, 2, 3]);
         assert_eq!(index.free_at(0), Timestamp::from_millis(50));
+        // Advancing the horizon from 10 ms to 60 ms brings GPU 0 (free at
+        // 50 ms) into reach; the parked sentinel never enters.
+        index.update(3, Timestamp::MAX);
+        let entered: Vec<usize> = index
+            .entering(Timestamp::from_millis(10), Timestamp::from_millis(60))
+            .collect();
+        assert_eq!(entered, vec![0]);
+        assert_eq!(
+            index
+                .entering(Timestamp::from_millis(10), Timestamp::MAX)
+                .count(),
+            1
+        );
     }
 
     #[test]

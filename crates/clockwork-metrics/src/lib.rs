@@ -12,8 +12,6 @@
 //! * [`TimeSeries`] — fixed-interval bucketed counters and gauges.
 //! * [`UtilizationTracker`] — busy-interval accounting per time bucket.
 //! * [`percentile`] — exact percentiles over small sample vectors.
-//! * [`csv`] — a tiny CSV writer used by the benchmark harness so results can
-//!   be plotted without extra dependencies.
 //! * [`trace`] — structured request-lifecycle spans ([`TraceEvent`]) behind a
 //!   zero-cost-when-off [`Tracer`] trait, with a bounded [`RingTracer`] and
 //!   deterministic JSONL export for SLO-blame attribution.
@@ -21,7 +19,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod csv;
 pub mod histogram;
 pub mod orderstat;
 pub mod percentile;
